@@ -14,11 +14,12 @@ import (
 // (service.Store + service.GraphPayloadStore), the async job manager's
 // record store (jobs.Store), the peer/inventory surface internal/cluster
 // replicates through, and the admin surface locshortctl and the daemon's
-// warm-start logging read. Every backend — the append-only segment store
-// (reference implementation), the ephemeral in-memory backend, and the
-// object-directory tier — implements all of it and must pass the
-// storetest conformance suite (storetest.Run), which turns the semantics
-// below into executable law.
+// warm-start logging read. Every backend — the append-only segment store,
+// the ephemeral in-memory backend, and the object-directory tier —
+// implements all of it through one shared record layer (kvCore, over a
+// backend-specific payloadStore) and must pass the storetest conformance
+// suite (storetest.Run), which turns the semantics below into executable
+// law.
 //
 // Contract highlights, shared by every backend and enforced by storetest:
 //
@@ -39,6 +40,10 @@ import (
 //     an error (or a Verify problem), never as a wrong answer.
 //   - Concurrency: every method is safe for concurrent use; reads are not
 //     stalled behind other requests' persistence.
+//   - Close: afterwards every read is a plain miss, every listing
+//     (Records, ShortcutInventory, GraphFingerprints, Each*) and count
+//     (OpenStats) is empty, Verify reports nothing, and every write is an
+//     error.
 //
 // GC is deliberately NOT part of Backend: an ephemeral backend has nothing
 // to compact. Backends that reclaim space implement Compactor; callers
@@ -72,8 +77,9 @@ type Backend interface {
 	// Dir returns the backend's root directory ("" for backends with no
 	// on-disk presence).
 	Dir() string
-	// Close releases the backend's resources. Durable backends never lose
-	// acknowledged records at Close; zero-copy payload slices handed out
+	// Close releases the backend's resources; afterwards the backend
+	// holds nothing (see the Close rule above). Durable backends never
+	// lose acknowledged records at Close; zero-copy payload slices handed out
 	// by reads become invalid, so callers drain readers first.
 	Close() error
 }

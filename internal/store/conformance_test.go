@@ -16,8 +16,8 @@ import (
 )
 
 // The conformance suite is the executable form of the store.Backend
-// contract. Every backend runs the identical suite; the segment store is
-// the reference implementation the others are proven equivalent to.
+// contract. Every backend runs the identical suite over the one shared
+// record layer; what each run proves is its payload store.
 
 func openSegment(t testing.TB, dir string) store.Backend {
 	t.Helper()

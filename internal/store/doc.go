@@ -30,11 +30,12 @@
 //
 // The full contract the layers above depend on is written down as the
 // Backend interface (backend.go) and enforced by the storetest
-// conformance suite (internal/store/storetest). Three implementations
-// pass it: the append-only segment store (Store, the reference and
-// default), the ephemeral in-memory backend (Mem), and the S3-style
-// object-directory tier (ObjDir, one atomically-written file per
-// record). OpenBackend selects among them — the daemons' -store flag.
+// conformance suite (internal/store/storetest). It is implemented once,
+// by the record layer in kvcore.go, over three payload stores: the
+// append-only segment log (Store, the default), the ephemeral in-memory
+// backend (Mem), and the S3-style object-directory tier (ObjDir, one
+// atomically-written file per record). OpenBackend selects among them —
+// the daemons' -store flag.
 // Space reclamation is the optional Compactor capability, not part of
 // Backend. See DESIGN.md §11.
 //

@@ -24,12 +24,9 @@ type Mem struct {
 // OpenMem returns a fresh, empty in-memory backend.
 func OpenMem() *Mem {
 	m := &Mem{}
-	m.kvCore = newKVCore(KindMem, &memPayloads{m: make(map[indexKey][]byte)})
+	m.kvCore = newKVCore(KindMem, "", &memPayloads{m: make(map[indexKey][]byte)})
 	return m
 }
-
-// Dir returns "" — the in-memory backend has no on-disk presence.
-func (m *Mem) Dir() string { return "" }
 
 // memPayloads is Mem's payloadStore: a mutex-guarded map of defensive
 // copies. get returns the stored slice directly; callers must treat record
@@ -40,15 +37,15 @@ type memPayloads struct {
 	m  map[indexKey][]byte
 }
 
-func (p *memPayloads) put(kind byte, key service.Fingerprint, payload []byte) error {
+func (p *memPayloads) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
 	cp := append([]byte(nil), payload...)
 	p.mu.Lock()
 	p.m[indexKey{kind: kind, key: key}] = cp
 	p.mu.Unlock()
-	return nil
+	return kvMeta{size: int64(len(cp))}, nil
 }
 
-func (p *memPayloads) get(kind byte, key service.Fingerprint) ([]byte, error) {
+func (p *memPayloads) get(kind byte, key service.Fingerprint, _ kvMeta, _ bool) ([]byte, error) {
 	p.mu.RLock()
 	payload, ok := p.m[indexKey{kind: kind, key: key}]
 	p.mu.RUnlock()
@@ -64,6 +61,8 @@ func (p *memPayloads) del(kind byte, key service.Fingerprint) error {
 	p.mu.Unlock()
 	return nil
 }
+
+func (p *memPayloads) footprint(*OpenStats) {}
 
 func (p *memPayloads) close() error { return nil }
 

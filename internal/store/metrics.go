@@ -18,7 +18,7 @@ type storeMetrics struct {
 func newStoreMetrics(r *obs.Registry, s *Store) *storeMetrics {
 	m := &storeMetrics{
 		appendSeconds: r.Histogram("locshort_store_append_seconds",
-			"Full record append latency: frame, write, fsync, index install.", nil, nil),
+			"Full record append latency: frame, write, fsync, rotation.", nil, nil),
 		fsyncSeconds: r.Histogram("locshort_store_fsync_seconds",
 			"fsync portion of record appends (zero observations under NoSync).", nil, nil),
 		rotations: r.Counter("locshort_store_segment_rotations_total",

@@ -35,7 +35,6 @@ import (
 // shortcut references plus any unindexed stragglers in its directories.
 type ObjDir struct {
 	kvCore
-	dir  string
 	fsys FS
 }
 
@@ -62,8 +61,8 @@ var objScanOrder = []byte{kindGraph, kindPartition, kindJob, kindShortcut}
 // orphaned; swept objects are counted in OpenStats.CorruptSkipped.
 func OpenObjDir(dir string, opts Options) (*ObjDir, error) {
 	opts = opts.withDefaults()
-	o := &ObjDir{dir: dir, fsys: opts.FS}
-	o.kvCore = newKVCore(KindObjDir, &dirPayloads{
+	o := &ObjDir{fsys: opts.FS}
+	o.kvCore = newKVCore(KindObjDir, dir, &dirPayloads{
 		dir:    dir,
 		fsys:   opts.FS,
 		noSync: opts.NoSync,
@@ -109,17 +108,15 @@ func (o *ObjDir) scanKind(kind byte) error {
 		}
 		meta := kvMeta{size: info.Size()}
 		if kind == kindShortcut {
-			payload, err := o.ps.get(kindShortcut, key)
+			payload, err := o.ps.get(kindShortcut, key, meta, false)
 			drop := ""
 			if err != nil {
 				return fmt.Errorf("store: objdir %s: %w", o.dir, err)
 			}
-			if sm, err := parseShortcutMeta(payload); err != nil {
+			if err := meta.parseDeps(kind, payload); err != nil {
 				drop = "undecodable"
-			} else if !o.has(kindGraph, sm.graphFP) {
+			} else if !o.has(kindGraph, meta.graphFP) {
 				drop = "orphaned"
-			} else {
-				meta.graphFP, meta.partFP = sm.graphFP, sm.partFP
 			}
 			if drop != "" {
 				if err := o.fsys.Remove(filepath.Join(kdir, name)); err != nil {
@@ -135,9 +132,6 @@ func (o *ObjDir) scanKind(kind byte) error {
 	}
 	return nil
 }
-
-// Dir returns the backend's root directory.
-func (o *ObjDir) Dir() string { return o.dir }
 
 // GC reclaims space: partition objects no live shortcut references are
 // dropped from the index and deleted, and any file in the kind directories
@@ -244,17 +238,17 @@ func (d *dirPayloads) path(kind byte, key service.Fingerprint) string {
 	return filepath.Join(d.dir, objKindDirs[kind], fmt.Sprintf("%016x%s", uint64(key), objSuffix))
 }
 
-func (d *dirPayloads) put(kind byte, key service.Fingerprint, payload []byte) error {
+func (d *dirPayloads) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
 	path := d.path(kind, key)
 	tmp := path + objTmpSuffix
 	f, err := d.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return kvMeta{}, err
 	}
-	fail := func(err error) error {
+	fail := func(err error) (kvMeta, error) {
 		_ = f.Close() // best-effort: the original error must propagate
 		d.fsys.Remove(tmp)
-		return err
+		return kvMeta{}, err
 	}
 	if n, err := f.Write(payload); err != nil {
 		return fail(err)
@@ -268,19 +262,21 @@ func (d *dirPayloads) put(kind byte, key service.Fingerprint, payload []byte) er
 	}
 	if err := f.Close(); err != nil {
 		d.fsys.Remove(tmp)
-		return err
+		return kvMeta{}, err
 	}
 	if err := d.fsys.Rename(tmp, path); err != nil {
 		d.fsys.Remove(tmp)
-		return err
+		return kvMeta{}, err
 	}
 	if !d.noSync {
-		return d.fsys.SyncDir(filepath.Dir(path))
+		if err := d.fsys.SyncDir(filepath.Dir(path)); err != nil {
+			return kvMeta{}, err
+		}
 	}
-	return nil
+	return kvMeta{size: int64(len(payload))}, nil
 }
 
-func (d *dirPayloads) get(kind byte, key service.Fingerprint) ([]byte, error) {
+func (d *dirPayloads) get(kind byte, key service.Fingerprint, _ kvMeta, _ bool) ([]byte, error) {
 	f, err := d.fsys.OpenFile(d.path(kind, key), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -302,6 +298,8 @@ func (d *dirPayloads) del(kind byte, key service.Fingerprint) error {
 	}
 	return err
 }
+
+func (d *dirPayloads) footprint(*OpenStats) {}
 
 func (d *dirPayloads) close() error { return nil }
 

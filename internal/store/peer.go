@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"locshort/internal/graph"
@@ -44,69 +43,6 @@ type InventoryEntry struct {
 	PartitionFP service.Fingerprint
 }
 
-// HasShortcut reports whether a live shortcut record exists for key.
-func (s *Store) HasShortcut(key service.Fingerprint) bool {
-	return s.has(kindShortcut, key)
-}
-
-// GraphKnown reports whether a live graph record exists for fp.
-func (s *Store) GraphKnown(fp service.Fingerprint) bool {
-	return s.has(kindGraph, fp)
-}
-
-// payloadOf reads a live record's payload by kind.
-func (s *Store) payloadOf(kind byte, key service.Fingerprint) ([]byte, bool, error) {
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kind, key: key}]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, false, nil
-	}
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, false, err
-	}
-	return payload, true, nil
-}
-
-// GraphPayload returns the raw graph record payload for fp (version byte +
-// canonical encoding), suitable for shipping to a peer.
-func (s *Store) GraphPayload(fp service.Fingerprint) ([]byte, bool, error) {
-	return s.payloadOf(kindGraph, fp)
-}
-
-// ShortcutRecord assembles the PeerRecord for key: the shortcut payload and
-// the graph and partition payloads it references. ok is false when no live
-// shortcut record exists; a live shortcut whose dependencies are missing is
-// an integrity error, not a miss.
-func (s *Store) ShortcutRecord(key service.Fingerprint) (PeerRecord, bool, error) {
-	var rec PeerRecord
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kindShortcut, key: key}]
-	s.mu.RUnlock()
-	if !ok {
-		return rec, false, nil
-	}
-	rec.Key, rec.GraphFP, rec.PartitionFP = key, ref.graphFP, ref.partFP
-	var err error
-	var found bool
-	if rec.ShortcutPayload, found, err = s.payloadOf(kindShortcut, key); err != nil || !found {
-		return rec, false, err
-	}
-	if rec.GraphPayload, found, err = s.payloadOf(kindGraph, ref.graphFP); err != nil {
-		return rec, false, err
-	} else if !found {
-		return rec, false, fmt.Errorf("store: shortcut %s references missing graph %s", key, ref.graphFP)
-	}
-	if rec.PartitionPayload, found, err = s.payloadOf(kindPartition, ref.partFP); err != nil {
-		return rec, false, err
-	} else if !found {
-		return rec, false, fmt.Errorf("store: shortcut %s references missing partition %s", key, ref.partFP)
-	}
-	return rec, true, nil
-}
-
 // inRange reports whether key lies on the arc (lo, hi] of the fingerprint
 // circle, wrapping when lo >= hi; lo == hi means the full circle. The
 // convention matches cluster.Range, so ring ownership arcs filter the
@@ -120,38 +56,6 @@ func inRange(key, lo, hi uint64) bool {
 	default:
 		return key > lo || key <= hi
 	}
-}
-
-// ShortcutInventory lists the live shortcut records whose keys fall on the
-// arc (lo, hi] (wrapping; lo == hi lists everything), sorted by key. It
-// reads only the index — no payloads — so a full-inventory scan during an
-// anti-entropy round is cheap even on a large store.
-func (s *Store) ShortcutInventory(lo, hi uint64) []InventoryEntry {
-	s.mu.RLock()
-	out := make([]InventoryEntry, 0, 64)
-	for ik, ref := range s.index {
-		if ik.kind != kindShortcut || !inRange(uint64(ik.key), lo, hi) {
-			continue
-		}
-		out = append(out, InventoryEntry{Key: ik.key, GraphFP: ref.graphFP, PartitionFP: ref.partFP})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// GraphFingerprints lists the live graph record keys, sorted.
-func (s *Store) GraphFingerprints() []service.Fingerprint {
-	s.mu.RLock()
-	out := make([]service.Fingerprint, 0, 8)
-	for ik := range s.index {
-		if ik.kind == kindGraph {
-			out = append(out, ik.key)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // EncodeGraphPayload renders the graph record payload for g, byte-identical
@@ -204,38 +108,4 @@ func VerifyPeerRecord(rec PeerRecord) (*graph.Graph, *partition.Partition, *shor
 		return nil, nil, nil, 0, err
 	}
 	return g, parts, res, bt, nil
-}
-
-// ImportShortcut verifies rec end to end and durably installs the records a
-// node is missing: the graph and partition payloads are appended only if
-// absent, then the shortcut record. It returns the decoded graph (so the
-// caller can register it with a serving engine) and whether the shortcut was
-// actually appended — false means a record for the key already existed and
-// nothing was written. The verify-then-append order plus writeMu makes the
-// import atomic with respect to concurrent DeleteGraph tombstones: a record
-// can never be resurrected under a tombstone written first.
-func (s *Store) ImportShortcut(rec PeerRecord) (*graph.Graph, bool, error) {
-	g, _, _, _, err := VerifyPeerRecord(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.has(kindShortcut, rec.Key) {
-		return g, false, nil
-	}
-	if !s.has(kindGraph, rec.GraphFP) {
-		if err := s.appendRecord(kindGraph, rec.GraphFP, rec.GraphPayload); err != nil {
-			return g, false, err
-		}
-	}
-	if !s.has(kindPartition, rec.PartitionFP) {
-		if err := s.appendRecord(kindPartition, rec.PartitionFP, rec.PartitionPayload); err != nil {
-			return g, false, err
-		}
-	}
-	if err := s.appendRecord(kindShortcut, rec.Key, rec.ShortcutPayload); err != nil {
-		return g, false, err
-	}
-	return g, true, nil
 }

@@ -2,22 +2,19 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"locshort/internal/graph"
-	"locshort/internal/jobs"
 	"locshort/internal/obs"
-	"locshort/internal/partition"
 	"locshort/internal/service"
-	"locshort/internal/shortcut"
 )
 
 // On-disk layout. A store directory holds numbered append-only segment
@@ -132,20 +129,6 @@ type OpenStats struct {
 	TombstonesApplied int
 }
 
-type indexKey struct {
-	kind byte
-	key  service.Fingerprint
-}
-
-// recordRef locates a live record inside a segment.
-type recordRef struct {
-	seg     int
-	off     int64
-	size    int64               // full frame size including header
-	graphFP service.Fingerprint // dependency, shortcut records only
-	partFP  service.Fingerprint // dependency, shortcut records only
-}
-
 type segment struct {
 	seq  int
 	f    File
@@ -156,81 +139,44 @@ type segment struct {
 	data []byte
 }
 
-// Store is a content-addressed, append-only snapshot store for graphs,
-// partitions, and built shortcuts, durably keyed by the service layer's
-// 64-bit fingerprints. It implements service.Store. All methods are safe
-// for concurrent use; a directory must be owned by one Store at a time
-// (run locshortctl against a stopped daemon or a copied directory).
+// Store is the content-addressed, append-only segment store: the shared
+// record layer (kvCore) over a segmentLog, which frames every record into
+// numbered segment files. It implements Backend and Compactor. All methods
+// are safe for concurrent use; a directory must be owned by one Store at a
+// time (run locshortctl against a stopped daemon or a copied directory).
 type Store struct {
+	kvCore
+	log *segmentLog
+}
+
+// segmentLog is the Store's payloadStore: put appends a framed record to
+// the active segment, get serves a payload from the locator kvCore keeps
+// in its index (seg, off, framed size), and deleting a graph appends a
+// tombstone. Replay at Open and GC write their results straight into
+// kvCore's index; the log itself keeps no key-to-record map.
+type segmentLog struct {
 	dir  string
 	opts Options
-	fs   FS
+	fsys FS
 
-	// writeMu serializes all mutations (appends, deletes, GC, Close) and
-	// is held across disk writes and fsyncs. mu guards the in-memory
-	// index, segment table, and sizes, and is held only for short
-	// critical sections — never across a sync — so store-first cache-miss
-	// reads (GetShortcut) are not stalled behind other requests'
-	// persistence. Lock order: writeMu before mu.
-	writeMu sync.Mutex
-
-	mu      sync.RWMutex
-	segs    map[int]*segment
-	active  *segment
-	index   map[indexKey]recordRef
-	byGraph map[service.Fingerprint]map[service.Fingerprint]struct{} // graphFP -> shortcut keys
-	open    OpenStats
+	// mu is kvCore's index lock, shared: it guards the segment table and
+	// sizes too, so a locator and the segment it points into are always
+	// read together. kvCore calls get and footprint with it read-held; GC
+	// holds it across the swap of locators and segments; rotation, put's
+	// size update and close take it briefly, never across a disk write or
+	// fsync.
+	mu     *sync.RWMutex
+	segs   map[int]*segment
+	active *segment
 	// retired holds mappings of segments GC deleted. Zero-copy payload
 	// slices handed out before the GC may still alias them, so they are
 	// munmapped only at Close — address space is cheap, dangling reads
 	// are not.
 	retired [][]byte
 
-	// perms memoizes canonical edge permutations (see permCache).
-	perms permCache
-
 	// metrics is nil unless Options.Obs was set.
 	metrics *storeMetrics
 }
-
-// permCache memoizes canonical edge permutations per graph *instance* —
-// deliberately not per fingerprint: two representations of the same
-// content (a live representative and its canonical decode, or a re-ingest
-// after DeleteGraph with a different edge order) share a fingerprint but
-// need different permutations, and a fingerprint key would silently serve
-// the wrong one. The map is cleared past a size bound so transient graphs
-// (Verify decodes) cannot grow it forever. Shared by every backend that
-// translates shortcut payloads.
-type permCache struct {
-	mu sync.Mutex
-	m  map[*graph.Graph]*edgePerm
-}
-
-// permCacheLimit bounds the perm memo; engines pin far fewer
-// representatives than this, so clearing only ever drops transient
-// entries.
-const permCacheLimit = 256
-
-// get returns the memoized canonical edge permutation for this exact graph
-// instance.
-func (pc *permCache) get(g *graph.Graph) *edgePerm {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	p := pc.m[g]
-	if p == nil {
-		if pc.m == nil || len(pc.m) >= permCacheLimit {
-			pc.m = make(map[*graph.Graph]*edgePerm)
-		}
-		p = newEdgePerm(g)
-		pc.m[g] = p
-	}
-	return p
-}
-
-var (
-	_ service.Store = (*Store)(nil)
-	_ jobs.Store    = (*Store)(nil)
-)
 
 // Open opens (creating if necessary) the store rooted at dir, replaying
 // every segment into the in-memory index and repairing a torn tail.
@@ -239,62 +185,56 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		fs:      opts.FS,
-		segs:    make(map[int]*segment),
-		index:   make(map[indexKey]recordRef),
-		byGraph: make(map[service.Fingerprint]map[service.Fingerprint]struct{}),
-	}
+	l := &segmentLog{dir: dir, opts: opts, fsys: opts.FS, segs: make(map[int]*segment)}
+	s := &Store{kvCore: newKVCore(KindSegment, dir, l), log: l}
+	l.mu = &s.mu
 	// A gc.seg.tmp left by a GC that crashed before its rename is dead
 	// weight — replay ignores the name, so without this sweep it would
 	// leak disk forever.
-	s.fs.Remove(filepath.Join(dir, gcTmpName))
-	seqs, err := listSegments(s.fs, dir)
+	l.fsys.Remove(filepath.Join(dir, gcTmpName))
+	seqs, err := listSegments(l.fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, seq := range seqs {
 		if err := s.replaySegment(seq); err != nil {
-			s.closeLocked()
+			_ = l.close() // best-effort: the replay error must propagate
 			return nil, err
 		}
 	}
 	if len(seqs) > 0 {
-		last := s.segs[seqs[len(seqs)-1]]
+		last := l.segs[seqs[len(seqs)-1]]
 		if last.size < opts.SegmentBytes {
-			s.active = last
+			l.active = last
 		}
 	}
-	if s.active == nil {
+	if l.active == nil {
 		next := 1
 		if len(seqs) > 0 {
 			next = seqs[len(seqs)-1] + 1
 		}
-		if err := s.startSegment(next); err != nil {
-			s.closeLocked()
+		if err := l.startSegment(next); err != nil {
+			_ = l.close() // best-effort: the segment error must propagate
 			return nil, err
 		}
 	}
 	// Map the sealed segments (everything but the active tail) now that
 	// replay has repaired torn tails — the mapping length is the repaired
 	// size. Open is single-threaded, so no lock is needed yet.
-	for _, seg := range s.segs {
-		if seg != s.active {
-			s.mapSealedLocked(seg)
+	for _, seg := range l.segs {
+		if seg != l.active {
+			l.mapSealedLocked(seg)
 		}
 	}
-	s.recount()
 	if opts.Obs != nil {
-		s.metrics = newStoreMetrics(opts.Obs, s)
+		l.metrics = newStoreMetrics(opts.Obs, s)
 	}
 	return s, nil
 }
 
 // listSegments returns the segment sequence numbers in dir, ascending.
-func listSegments(fs FS, dir string) ([]int, error) {
-	entries, err := fs.ReadDir(dir)
+func listSegments(fsys FS, dir string) ([]int, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -312,13 +252,13 @@ func listSegments(fs FS, dir string) ([]int, error) {
 
 func segName(seq int) string { return fmt.Sprintf("%06d.seg", seq) }
 
-func (s *Store) segPath(seq int) string { return filepath.Join(s.dir, segName(seq)) }
+func (l *segmentLog) segPath(seq int) string { return filepath.Join(l.dir, segName(seq)) }
 
 // startSegment creates a fresh active segment with the file header.
-// Caller holds writeMu (or is Open's single-threaded setup); the brief
-// index-map mutation takes mu itself.
-func (s *Store) startSegment(seq int) error {
-	f, err := s.fs.OpenFile(s.segPath(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+// Caller holds kvCore.writeMu (or is Open's single-threaded setup); the
+// brief segment-table mutation takes mu itself.
+func (l *segmentLog) startSegment(seq int) error {
+	f, err := l.fsys.OpenFile(l.segPath(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
@@ -328,30 +268,30 @@ func (s *Store) startSegment(seq int) error {
 	// (a real bug the errfs fault suite shook out).
 	fail := func(err error) error {
 		_ = f.Close() // best-effort: the original error must propagate
-		s.fs.Remove(s.segPath(seq))
+		l.fsys.Remove(l.segPath(seq))
 		return err
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		return fail(err)
 	}
-	if !s.opts.NoSync {
+	if !l.opts.NoSync {
 		if err := f.Sync(); err != nil {
 			return fail(err)
 		}
-		s.fs.SyncDir(s.dir)
+		l.fsys.SyncDir(l.dir)
 	}
 	seg := &segment{seq: seq, f: f, size: int64(len(segMagic))}
-	s.mu.Lock()
-	if prev := s.active; prev != nil {
+	l.mu.Lock()
+	if prev := l.active; prev != nil {
 		// The outgoing active segment is sealed from here on: no append
 		// will ever touch it again, so its size is final and it can join
 		// the zero-copy read path. Rotation is rare (once per
 		// SegmentBytes), so the mmap syscall under mu is fine.
-		s.mapSealedLocked(prev)
+		l.mapSealedLocked(prev)
 	}
-	s.segs[seq] = seg
-	s.active = seg
-	s.mu.Unlock()
+	l.segs[seq] = seg
+	l.active = seg
+	l.mu.Unlock()
 	return nil
 }
 
@@ -361,8 +301,8 @@ func (s *Store) startSegment(seq int) error {
 // the segment just stays on the pread fallback. Caller holds mu (or is
 // Open's single-threaded setup) and must never map the active segment,
 // because the mapping length is fixed at the segment's current size.
-func (s *Store) mapSealedLocked(seg *segment) {
-	if s.opts.NoMmap || seg.data != nil || seg.size <= 0 {
+func (l *segmentLog) mapSealedLocked(seg *segment) {
+	if l.opts.NoMmap || seg.data != nil || seg.size <= 0 {
 		return
 	}
 	osf, ok := seg.f.(*os.File)
@@ -374,15 +314,23 @@ func (s *Store) mapSealedLocked(seg *segment) {
 	}
 }
 
+// frameCRC is the checksum a frame header carries: CRC-32C over kind ‖ key
+// ‖ length ‖ payload.
+func frameCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr[:13], crcTable), crcTable, payload)
+}
+
 // replaySegment reads one segment into the index, truncating a torn tail
-// and skipping checksum-corrupt records.
+// and skipping checksum-corrupt records. Open is single-threaded, so the
+// index is written without taking kvCore.mu.
 func (s *Store) replaySegment(seq int) error {
-	f, err := s.fs.OpenFile(s.segPath(seq), os.O_RDWR, 0)
+	l := s.log
+	f, err := l.fsys.OpenFile(l.segPath(seq), os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
 	seg := &segment{seq: seq, f: f}
-	s.segs[seq] = seg
+	l.segs[seq] = seg
 	info, err := f.Stat()
 	if err != nil {
 		return err
@@ -429,31 +377,21 @@ func (s *Store) replaySegment(seq int) error {
 		if _, err := f.ReadAt(payload, off+frameHdrSize); err != nil {
 			return err
 		}
-		crc := crc32.Checksum(frame[:9], crcTable)
-		crc = crc32.Update(crc, crcTable, frame[9:13])
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != binary.BigEndian.Uint32(frame[13:]) {
-			s.open.CorruptSkipped++
-			off += total
-			continue
-		}
 		kind := frame[0]
 		key := service.Fingerprint(binary.BigEndian.Uint64(frame[1:]))
-		ref := recordRef{seg: seq, off: off, size: total}
-		switch kind {
-		case kindTombstone:
-			s.applyTombstone(key)
+		meta := kvMeta{seg: seq, off: off, size: total}
+		switch {
+		case frameCRC(frame, payload) != binary.BigEndian.Uint32(frame[13:]):
+			s.open.CorruptSkipped++
+		case kind == kindTombstone:
+			s.dropGraphLocked(key)
 			s.open.TombstonesApplied++
-		case kindShortcut:
-			meta, err := parseShortcutMeta(payload)
-			if err != nil {
+		case kind == kindGraph || kind == kindPartition || kind == kindShortcut || kind == kindJob:
+			if err := meta.parseDeps(kind, payload); err != nil {
 				s.open.CorruptSkipped++
 			} else {
-				ref.graphFP, ref.partFP = meta.graphFP, meta.partFP
-				s.indexPut(kind, key, ref)
+				s.indexPutLocked(kind, key, meta)
 			}
-		case kindGraph, kindPartition, kindJob:
-			s.indexPut(kind, key, ref)
 		default:
 			s.open.CorruptSkipped++
 		}
@@ -463,96 +401,132 @@ func (s *Store) replaySegment(seq int) error {
 	return nil
 }
 
-// indexPut installs a live record, newest-wins.
-func (s *Store) indexPut(kind byte, key service.Fingerprint, ref recordRef) {
-	ik := indexKey{kind: kind, key: key}
-	if old, ok := s.index[ik]; ok && kind == kindShortcut {
-		s.dropShortcutDep(old.graphFP, key)
+// put frames and durably writes one record to the active segment,
+// rotating first if the segment is full, and returns the record's
+// locator. Caller holds kvCore.writeMu, which serializes all writers; mu
+// is taken only to publish the new segment size, never across the disk
+// write or fsync, so concurrent readers are not stalled by persistence.
+func (l *segmentLog) put(kind byte, key service.Fingerprint, payload []byte) (kvMeta, error) {
+	var appendStart time.Time
+	if l.metrics != nil {
+		appendStart = time.Now()
 	}
-	s.index[ik] = ref
-	if kind == kindShortcut {
-		deps := s.byGraph[ref.graphFP]
-		if deps == nil {
-			deps = make(map[service.Fingerprint]struct{})
-			s.byGraph[ref.graphFP] = deps
+	// active and seg.size are only mutated under writeMu, which we hold.
+	seg := l.active
+	if seg.size >= l.opts.SegmentBytes {
+		if err := l.startSegment(seg.seq + 1); err != nil {
+			return kvMeta{}, err
 		}
-		deps[key] = struct{}{}
+		if l.metrics != nil {
+			l.metrics.rotations.Inc()
+		}
+		seg = l.active
 	}
-}
-
-func (s *Store) dropShortcutDep(graphFP, key service.Fingerprint) {
-	if deps := s.byGraph[graphFP]; deps != nil {
-		delete(deps, key)
-		if len(deps) == 0 {
-			delete(s.byGraph, graphFP)
+	frame := make([]byte, frameHdrSize, frameHdrSize+len(payload))
+	frame[0] = kind
+	binary.BigEndian.PutUint64(frame[1:], uint64(key))
+	binary.BigEndian.PutUint32(frame[9:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[13:], frameCRC(frame, payload))
+	frame = append(frame, payload...)
+	meta := kvMeta{seg: seg.seq, off: seg.size, size: int64(len(frame))}
+	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
+		return kvMeta{}, err
+	}
+	if !l.opts.NoSync {
+		var syncStart time.Time
+		if l.metrics != nil {
+			syncStart = time.Now()
+		}
+		if err := seg.f.Sync(); err != nil {
+			return kvMeta{}, err
+		}
+		if l.metrics != nil {
+			l.metrics.fsyncSeconds.Observe(time.Since(syncStart))
 		}
 	}
-}
-
-// applyTombstone removes a graph and its dependent shortcuts from the
-// index.
-func (s *Store) applyTombstone(graphFP service.Fingerprint) {
-	delete(s.index, indexKey{kind: kindGraph, key: graphFP})
-	for key := range s.byGraph[graphFP] {
-		delete(s.index, indexKey{kind: kindShortcut, key: key})
+	l.mu.Lock()
+	seg.size += int64(len(frame))
+	l.mu.Unlock()
+	if l.metrics != nil {
+		l.metrics.appendSeconds.Observe(time.Since(appendStart))
+		if c, ok := l.metrics.appends[kind]; ok {
+			c.Inc()
+		}
 	}
-	delete(s.byGraph, graphFP)
+	return meta, nil
 }
 
-// recount refreshes the by-kind counters in OpenStats.
-func (s *Store) recount() {
-	s.open.Segments = len(s.segs)
-	s.open.Graphs, s.open.Partitions, s.open.Shortcuts, s.open.Jobs = 0, 0, 0, 0
-	s.open.Bytes = 0
-	s.open.MappedSegments = 0
-	for _, seg := range s.segs {
-		s.open.Bytes += seg.size
+// get returns the payload of the frame at meta's locator. On a mapped
+// (sealed) segment the slice aliases the read-only mapping — zero-copy, no
+// per-read checksum unless verify asks for one: the frame was CRC-checked
+// when the record entered the index (replay at Open, or put for records
+// this process appended), and the mapping stays valid until Close even
+// across a GC (see retired). The pread fallback reads into a fresh buffer
+// and checks the CRC on every read. Caller holds mu read-locked.
+//
+//locshort:hotpath
+func (l *segmentLog) get(_ byte, _ service.Fingerprint, meta kvMeta, verify bool) ([]byte, error) {
+	seg, ok := l.segs[meta.seg]
+	if !ok {
+		return nil, fs.ErrNotExist // unreachable under mu; a miss regardless
+	}
+	end := meta.off + meta.size
+	var frame []byte
+	if seg.data != nil && end <= int64(len(seg.data)) {
+		// Three-index form so an append by a careless caller reallocates
+		// instead of scribbling on the read-only mapping.
+		frame = seg.data[meta.off:end:end]
+		if !verify {
+			return frame[frameHdrSize:], nil
+		}
+	} else {
+		frame = make([]byte, meta.size)
+		if _, err := seg.f.ReadAt(frame, meta.off); err != nil {
+			return nil, err
+		}
+	}
+	if frameCRC(frame, frame[frameHdrSize:]) != binary.BigEndian.Uint32(frame[13:]) {
+		//locshort:alloc-ok corruption path: a failed checksum never serves
+		return nil, fmt.Errorf("store: record %s/%c: checksum mismatch",
+			service.Fingerprint(binary.BigEndian.Uint64(frame[1:])), frame[0])
+	}
+	return frame[frameHdrSize:], nil
+}
+
+// del appends the tombstone that deletes a graph. The tombstone also hides
+// every shortcut built on the graph at replay, so deleting those writes
+// nothing.
+func (l *segmentLog) del(kind byte, key service.Fingerprint) error {
+	if kind != kindGraph {
+		return nil
+	}
+	_, err := l.put(kindTombstone, key, nil)
+	return err
+}
+
+// footprint reports the segment files: their count, total size (live,
+// superseded and tombstoned records alike) and how many are mapped. Caller
+// holds mu read-locked.
+func (l *segmentLog) footprint(st *OpenStats) {
+	st.Segments, st.Bytes, st.MappedSegments = len(l.segs), 0, 0
+	for _, seg := range l.segs {
+		st.Bytes += seg.size
 		if seg.data != nil {
-			s.open.MappedSegments++
-		}
-	}
-	for ik := range s.index {
-		switch ik.kind {
-		case kindGraph:
-			s.open.Graphs++
-		case kindPartition:
-			s.open.Partitions++
-		case kindShortcut:
-			s.open.Shortcuts++
-		case kindJob:
-			s.open.Jobs++
+			st.MappedSegments++
 		}
 	}
 }
 
-// OpenStats returns what Open found, with record counts kept current as
-// the store is written.
-func (s *Store) OpenStats() OpenStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recount()
-	return s.open
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close releases every segment file handle and unmaps every segment
+// close releases every segment file handle and unmaps every segment
 // mapping, including mappings GC retired. Appended records are already on
-// disk (and fsynced unless NoSync); Close never loses data. Zero-copy
-// payload slices handed out by reads become invalid at Close — callers
-// must drain readers first, which every daemon shutdown path already does.
-func (s *Store) Close() error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closeLocked()
-}
-
-func (s *Store) closeLocked() error {
+// disk (and fsynced unless NoSync); closing never loses data. Zero-copy
+// payload slices handed out by reads become invalid — callers must drain
+// readers first, which every daemon shutdown path already does.
+func (l *segmentLog) close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var first error
-	for _, seg := range s.segs {
+	for _, seg := range l.segs {
 		if seg.data != nil {
 			munmapFile(seg.data)
 			seg.data = nil
@@ -561,552 +535,13 @@ func (s *Store) closeLocked() error {
 			first = err
 		}
 	}
-	for _, data := range s.retired {
+	for _, data := range l.retired {
 		munmapFile(data)
 	}
-	s.retired = nil
-	s.segs = make(map[int]*segment)
-	s.active = nil
+	l.retired = nil
+	l.segs = make(map[int]*segment)
+	l.active = nil
 	return first
-}
-
-// appendRecord frames and durably writes one record to the active segment
-// and installs it in the index. Caller holds writeMu (which serializes all
-// writers); mu is taken only for the in-memory installation, never across
-// the disk write or fsync, so concurrent readers are not stalled by
-// persistence.
-func (s *Store) appendRecord(kind byte, key service.Fingerprint, payload []byte) error {
-	var appendStart time.Time
-	if s.metrics != nil {
-		appendStart = time.Now()
-	}
-	s.mu.RLock()
-	seg := s.active
-	s.mu.RUnlock()
-	if seg == nil {
-		return errors.New("store: closed")
-	}
-	// seg.size is only mutated under writeMu, which we hold.
-	if seg.size >= s.opts.SegmentBytes {
-		if err := s.startSegment(seg.seq + 1); err != nil {
-			return err
-		}
-		if s.metrics != nil {
-			s.metrics.rotations.Inc()
-		}
-		s.mu.RLock()
-		seg = s.active
-		s.mu.RUnlock()
-	}
-	frame := make([]byte, frameHdrSize, frameHdrSize+len(payload))
-	frame[0] = kind
-	binary.BigEndian.PutUint64(frame[1:], uint64(key))
-	binary.BigEndian.PutUint32(frame[9:], uint32(len(payload)))
-	crc := crc32.Checksum(frame[:9], crcTable)
-	crc = crc32.Update(crc, crcTable, frame[9:13])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.BigEndian.PutUint32(frame[13:], crc)
-	frame = append(frame, payload...)
-	ref := recordRef{seg: seg.seq, off: seg.size, size: int64(len(frame))}
-	if kind == kindShortcut {
-		meta, err := parseShortcutMeta(payload)
-		if err != nil {
-			return err
-		}
-		ref.graphFP, ref.partFP = meta.graphFP, meta.partFP
-	}
-	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
-		return err
-	}
-	if !s.opts.NoSync {
-		var syncStart time.Time
-		if s.metrics != nil {
-			syncStart = time.Now()
-		}
-		if err := seg.f.Sync(); err != nil {
-			return err
-		}
-		if s.metrics != nil {
-			s.metrics.fsyncSeconds.Observe(time.Since(syncStart))
-		}
-	}
-	s.mu.Lock()
-	seg.size += int64(len(frame))
-	if kind != kindTombstone {
-		s.indexPut(kind, key, ref)
-	}
-	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.appendSeconds.Observe(time.Since(appendStart))
-		if c, ok := s.metrics.appends[kind]; ok {
-			c.Inc()
-		}
-	}
-	return nil
-}
-
-// readPayload fetches a live record's payload. Caller holds at least
-// s.mu.RLock. On a mapped (sealed) segment the returned slice aliases the
-// read-only mapping — zero-copy, no per-read checksum: the frame was
-// CRC-verified when the record entered the index (replay at Open, or the
-// write path for records this process appended), and the mapping stays
-// valid until Close even across a GC (see Store.retired). The pread
-// fallback keeps the historical behavior: fresh buffer, checksum
-// re-verified on every read.
-//
-//locshort:hotpath
-func (s *Store) readPayload(ref recordRef) ([]byte, error) {
-	seg, ok := s.segs[ref.seg]
-	if !ok {
-		return nil, fmt.Errorf("store: segment %d vanished", ref.seg) //locshort:alloc-ok corruption path
-	}
-	if seg.data != nil && ref.off+ref.size <= int64(len(seg.data)) {
-		// Three-index form so an append by a careless caller reallocates
-		// instead of scribbling on the read-only mapping.
-		return seg.data[ref.off+frameHdrSize : ref.off+ref.size : ref.off+ref.size], nil
-	}
-	frame := make([]byte, ref.size)
-	if _, err := seg.f.ReadAt(frame, ref.off); err != nil {
-		return nil, err
-	}
-	crc := crc32.Checksum(frame[:9], crcTable)
-	crc = crc32.Update(crc, crcTable, frame[9:13])
-	crc = crc32.Update(crc, crcTable, frame[frameHdrSize:])
-	if crc != binary.BigEndian.Uint32(frame[13:]) {
-		//locshort:alloc-ok corruption path: a failed checksum never serves
-		return nil, fmt.Errorf("store: record %s/%c: checksum mismatch on read",
-			service.Fingerprint(binary.BigEndian.Uint64(frame[1:])), frame[0])
-	}
-	return frame[frameHdrSize:], nil
-}
-
-// checkFrame re-verifies a live record's frame checksum, reading through
-// the mapping when one exists (the MAP_SHARED mapping observes the file's
-// current bytes, so external corruption is visible through it).
-func (s *Store) checkFrame(ref recordRef) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seg, ok := s.segs[ref.seg]
-	if !ok {
-		return fmt.Errorf("store: segment %d vanished", ref.seg)
-	}
-	var frame []byte
-	if seg.data != nil && ref.off+ref.size <= int64(len(seg.data)) {
-		frame = seg.data[ref.off : ref.off+ref.size]
-	} else {
-		frame = make([]byte, ref.size)
-		if _, err := seg.f.ReadAt(frame, ref.off); err != nil {
-			return err
-		}
-	}
-	crc := crc32.Checksum(frame[:9], crcTable)
-	crc = crc32.Update(crc, crcTable, frame[9:13])
-	crc = crc32.Update(crc, crcTable, frame[frameHdrSize:])
-	if crc != binary.BigEndian.Uint32(frame[13:]) {
-		return fmt.Errorf("store: record %s/%c: checksum mismatch",
-			service.Fingerprint(binary.BigEndian.Uint64(frame[1:])), frame[0])
-	}
-	return nil
-}
-
-// perm returns the memoized canonical edge permutation for this exact
-// graph instance.
-func (s *Store) perm(g *graph.Graph) *edgePerm { return s.perms.get(g) }
-
-// has reports whether a live record exists. Caller may hold writeMu; mu is
-// taken briefly.
-func (s *Store) has(kind byte, key service.Fingerprint) bool {
-	s.mu.RLock()
-	_, ok := s.index[indexKey{kind: kind, key: key}]
-	s.mu.RUnlock()
-	return ok
-}
-
-// PutGraph persists g under its content fingerprint; known content is a
-// cheap no-op. Implements service.Store.
-func (s *Store) PutGraph(fp service.Fingerprint, g *graph.Graph) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.has(kindGraph, fp) {
-		return nil
-	}
-	return s.appendRecord(kindGraph, fp, encodeGraph(g))
-}
-
-// EachGraph decodes every live graph record. Implements service.Store.
-func (s *Store) EachGraph(fn func(fp service.Fingerprint, g *graph.Graph) error) error {
-	s.mu.RLock()
-	refs := make(map[service.Fingerprint]recordRef)
-	for ik, ref := range s.index {
-		if ik.kind == kindGraph {
-			refs[ik.key] = ref
-		}
-	}
-	s.mu.RUnlock()
-	fps := make([]service.Fingerprint, 0, len(refs))
-	for fp := range refs {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		g, err := s.getGraphRef(fp, refs[fp])
-		if err != nil {
-			return err
-		}
-		if err := fn(fp, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Store) getGraphRef(fp service.Fingerprint, ref recordRef) (*graph.Graph, error) {
-	s.mu.RLock()
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return decodeGraph(payload, fp)
-}
-
-// GetGraph decodes the live graph record for fp, if any.
-//
-//locshort:hotpath
-func (s *Store) GetGraph(fp service.Fingerprint) (*graph.Graph, bool, error) {
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kindGraph, key: fp}]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false, nil
-	}
-	g, err := s.getGraphRef(fp, ref)
-	if err != nil {
-		return nil, false, err
-	}
-	return g, true, nil
-}
-
-// GetPartition decodes the live partition record for fp against g,
-// validating part connectivity. Used by offline inspection (the serving
-// path never needs it: requests carry their partition).
-func (s *Store) GetPartition(fp service.Fingerprint, g *graph.Graph) (*partition.Partition, bool, error) {
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kindPartition, key: fp}]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, false, nil
-	}
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, false, err
-	}
-	p, err := decodePartition(payload, fp, g)
-	if err != nil {
-		return nil, false, err
-	}
-	return p, true, nil
-}
-
-// PutShortcut persists the partition record (deduplicated) and the shortcut
-// record. Implements service.Store. A shortcut whose graph record is no
-// longer live is silently dropped: a detached engine persist can race a
-// DeleteGraph tombstone, and writing the record after the tombstone would
-// resurrect a shortcut whose graph is gone (an orphan that fails Verify).
-func (s *Store) PutShortcut(key, graphFP service.Fingerprint, parts *partition.Partition,
-	opts shortcut.Options, res *shortcut.Result, buildTime time.Duration) error {
-
-	partFP := service.FingerprintPartition(parts)
-	perm := s.perm(res.Shortcut.G)
-	payload := encodeShortcut(perm, graphFP, partFP, opts, res, buildTime)
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if !s.has(kindGraph, graphFP) || s.has(kindShortcut, key) {
-		return nil
-	}
-	if !s.has(kindPartition, partFP) {
-		if err := s.appendRecord(kindPartition, partFP, encodePartition(parts)); err != nil {
-			return err
-		}
-	}
-	return s.appendRecord(kindShortcut, key, payload)
-}
-
-// GetShortcut loads and reconstructs the shortcut stored under key against
-// the live representative g and the requested partition. Implements
-// service.Store.
-//
-//locshort:hotpath
-func (s *Store) GetShortcut(key service.Fingerprint, g *graph.Graph, parts *partition.Partition) (
-	*shortcut.Result, time.Duration, bool, error) {
-
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kindShortcut, key: key}]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, 0, false, nil
-	}
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	res, bt, err := decodeShortcut(payload, key, s.perm(g), g, parts)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return res, bt, true, nil
-}
-
-// PutJob durably writes (or supersedes) an async job record under its job
-// ID. Implements jobs.Store. Unlike the content-addressed kinds the
-// payload mutates over a job's lifecycle, so every call appends; the
-// newest record wins on replay and GC compacts the superseded ones.
-func (s *Store) PutJob(id uint64, payload []byte) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.appendRecord(kindJob, service.Fingerprint(id), payload)
-}
-
-// GetJob returns the live job record payload for id, if any.
-//
-//locshort:hotpath
-func (s *Store) GetJob(id uint64) ([]byte, bool, error) {
-	s.mu.RLock()
-	ref, ok := s.index[indexKey{kind: kindJob, key: service.Fingerprint(id)}]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, false, nil
-	}
-	payload, err := s.readPayload(ref)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, false, err
-	}
-	return payload, true, nil
-}
-
-// EachJob calls fn for every live job record, ascending by ID. Implements
-// jobs.Store (used by Manager.Recover on warm start).
-func (s *Store) EachJob(fn func(id uint64, payload []byte) error) error {
-	s.mu.RLock()
-	refs := make(map[service.Fingerprint]recordRef)
-	for ik, ref := range s.index {
-		if ik.kind == kindJob {
-			refs[ik.key] = ref
-		}
-	}
-	s.mu.RUnlock()
-	ids := make([]service.Fingerprint, 0, len(refs))
-	for id := range refs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		s.mu.RLock()
-		payload, err := s.readPayload(refs[id])
-		s.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		if err := fn(uint64(id), payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeleteGraph appends a tombstone hiding the graph record and every
-// shortcut built on it; deleting an absent graph writes nothing.
-// Implements service.Store. Space is reclaimed by the next GC.
-func (s *Store) DeleteGraph(fp service.Fingerprint) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.RLock()
-	_, haveGraph := s.index[indexKey{kind: kindGraph, key: fp}]
-	haveDeps := len(s.byGraph[fp]) > 0
-	s.mu.RUnlock()
-	if !haveGraph && !haveDeps {
-		return nil
-	}
-	if err := s.appendRecord(kindTombstone, fp, nil); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.applyTombstone(fp)
-	s.mu.Unlock()
-	return nil
-}
-
-// RecordInfo describes one live record for listings.
-type RecordInfo struct {
-	// Kind is "graph", "partition", "shortcut", or "job".
-	Kind string
-	Key  service.Fingerprint
-	// Segment and Offset locate the record on disk; Bytes is the framed
-	// size.
-	Segment int
-	Offset  int64
-	Bytes   int64
-	// GraphFP and PartitionFP are the dependencies of a shortcut record
-	// (zero otherwise).
-	GraphFP     service.Fingerprint
-	PartitionFP service.Fingerprint
-}
-
-func kindName(kind byte) string {
-	switch kind {
-	case kindGraph:
-		return "graph"
-	case kindPartition:
-		return "partition"
-	case kindShortcut:
-		return "shortcut"
-	case kindJob:
-		return "job"
-	}
-	return fmt.Sprintf("kind(%c)", kind)
-}
-
-// Records lists the live records sorted by kind then key.
-func (s *Store) Records() []RecordInfo {
-	s.mu.RLock()
-	out := make([]RecordInfo, 0, len(s.index))
-	for ik, ref := range s.index {
-		out = append(out, RecordInfo{
-			Kind:        kindName(ik.kind),
-			Key:         ik.key,
-			Segment:     ref.seg,
-			Offset:      ref.off,
-			Bytes:       ref.size,
-			GraphFP:     ref.graphFP,
-			PartitionFP: ref.partFP,
-		})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// Problem is one verification failure.
-type Problem struct {
-	Kind string
-	Key  service.Fingerprint
-	Err  error
-}
-
-func (p Problem) String() string { return fmt.Sprintf("%s %s: %v", p.Kind, p.Key, p.Err) }
-
-// Verify re-reads and fully decodes every live record: frame checksums,
-// payload-to-key content hashes, structural validation (graph adjacency,
-// partition connectedness, shortcut edge sets against their tree), and
-// shortcut key re-derivation from the stored inputs. It returns one
-// Problem per failing record; an empty slice means the store is clean.
-func (s *Store) Verify() []Problem {
-	var problems []Problem
-	bad := func(kind byte, key service.Fingerprint, err error) {
-		problems = append(problems, Problem{Kind: kindName(kind), Key: key, Err: err})
-	}
-	s.mu.RLock()
-	type rec struct {
-		ik  indexKey
-		ref recordRef
-	}
-	recs := make([]rec, 0, len(s.index))
-	for ik, ref := range s.index {
-		recs = append(recs, rec{ik, ref})
-	}
-	s.mu.RUnlock()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].ik.kind != recs[j].ik.kind {
-			return recs[i].ik.kind < recs[j].ik.kind
-		}
-		return recs[i].ik.key < recs[j].ik.key
-	})
-	graphs := make(map[service.Fingerprint]*graph.Graph)
-	for _, r := range recs {
-		// Mapped reads skip the per-read checksum, so Verify re-checks
-		// every frame explicitly — its whole point is catching corruption
-		// that happened after the record was indexed.
-		if err := s.checkFrame(r.ref); err != nil {
-			bad(r.ik.kind, r.ik.key, err)
-			continue
-		}
-		s.mu.RLock()
-		payload, err := s.readPayload(r.ref)
-		s.mu.RUnlock()
-		if err != nil {
-			bad(r.ik.kind, r.ik.key, err)
-			continue
-		}
-		switch r.ik.kind {
-		case kindGraph:
-			g, err := decodeGraph(payload, r.ik.key)
-			if err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-				continue
-			}
-			if err := g.Validate(); err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-				continue
-			}
-			graphs[r.ik.key] = g
-		case kindPartition:
-			if len(payload) < 1 || payload[0] != partitionPayloadVersion {
-				bad(r.ik.kind, r.ik.key, fmt.Errorf("bad payload version"))
-			} else if got := service.FingerprintBytes(payload[1:]); got != r.ik.key {
-				bad(r.ik.kind, r.ik.key, fmt.Errorf("content hash mismatch"))
-			}
-		case kindShortcut:
-			g, ok := graphs[r.ref.graphFP]
-			if !ok {
-				bad(r.ik.kind, r.ik.key, fmt.Errorf("references missing graph %s", r.ref.graphFP))
-				continue
-			}
-			s.mu.RLock()
-			pref, ok := s.index[indexKey{kind: kindPartition, key: r.ref.partFP}]
-			s.mu.RUnlock()
-			if !ok {
-				bad(r.ik.kind, r.ik.key, fmt.Errorf("references missing partition %s", r.ref.partFP))
-				continue
-			}
-			s.mu.RLock()
-			ppay, err := s.readPayload(pref)
-			s.mu.RUnlock()
-			if err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-				continue
-			}
-			parts, err := decodePartition(ppay, r.ref.partFP, g)
-			if err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-				continue
-			}
-			if _, _, err := decodeShortcut(payload, r.ik.key, s.perm(g), g, parts); err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-			}
-		case kindJob:
-			// Job records are not content-addressed (random IDs, mutable
-			// state), so verification is structural: the payload decodes
-			// and its embedded ID matches the record key.
-			rec, err := jobs.DecodeRecord(payload)
-			if err != nil {
-				bad(r.ik.kind, r.ik.key, err)
-				continue
-			}
-			if uint64(rec.ID) != uint64(r.ik.key) {
-				bad(r.ik.kind, r.ik.key,
-					fmt.Errorf("record claims job id %s", rec.ID))
-			}
-		}
-	}
-	return problems
 }
 
 // GCStats reports what a compaction did.
@@ -1140,62 +575,52 @@ func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st GCStats
+	if s.closed {
+		return st, s.errClosed()
+	}
+	l := s.log
 
 	// Partitions still referenced by a live shortcut.
 	wanted := make(map[service.Fingerprint]bool)
-	for ik, ref := range s.index {
+	for ik, meta := range s.index {
 		if ik.kind == kindShortcut {
-			wanted[ref.partFP] = true
+			wanted[meta.partFP] = true
 		}
 	}
-	type keep struct {
-		ik  indexKey
-		ref recordRef
-	}
-	var keeps []keep
-	totalRecords := 0
-	for ik, ref := range s.index {
-		totalRecords++
-		if ik.kind == kindPartition && !wanted[ik.key] {
-			continue
-		}
-		keeps = append(keeps, keep{ik, ref})
-	}
-	// Deterministic layout: order by kind then key so identical content
-	// compacts to identical bytes.
-	sort.Slice(keeps, func(i, j int) bool {
-		if keeps[i].ik.kind != keeps[j].ik.kind {
-			return keeps[i].ik.kind < keeps[j].ik.kind
-		}
-		return keeps[i].ik.key < keeps[j].ik.key
+	// sortedLocked's kind-then-key order is the deterministic layout:
+	// identical content compacts to identical bytes.
+	keeps := s.sortedLocked()
+	total := len(keeps)
+	keeps = slices.DeleteFunc(keeps, func(r indexEntry) bool {
+		return r.ik.kind == kindPartition && !wanted[r.ik.key]
 	})
 
 	nextSeq := 1
-	for seq := range s.segs {
+	for seq := range l.segs {
 		if seq >= nextSeq {
 			nextSeq = seq + 1
 		}
 	}
-	tmpPath := filepath.Join(s.dir, gcTmpName)
-	tmp, err := s.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmpPath := filepath.Join(l.dir, gcTmpName)
+	tmp, err := l.fsys.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return st, err
 	}
-	defer s.fs.Remove(tmpPath)
+	defer l.fsys.Remove(tmpPath)
 	if _, err := tmp.Write([]byte(segMagic)); err != nil {
 		_ = tmp.Close() // best-effort: the write error must propagate
 		return st, err
 	}
-	newRefs := make(map[indexKey]recordRef, len(keeps))
 	off := int64(len(segMagic))
-	for _, k := range keeps {
-		seg, ok := s.segs[k.ref.seg]
+	for i := range keeps {
+		m := &keeps[i].meta
+		seg, ok := l.segs[m.seg]
 		if !ok {
 			_ = tmp.Close() // best-effort: the lookup error must propagate
-			return st, fmt.Errorf("store: segment %d vanished during gc", k.ref.seg)
+			return st, fmt.Errorf("store: segment %d vanished during gc", m.seg)
 		}
-		frame := make([]byte, k.ref.size)
-		if _, err := seg.f.ReadAt(frame, k.ref.off); err != nil {
+		frame := make([]byte, m.size)
+		if _, err := seg.f.ReadAt(frame, m.off); err != nil {
 			_ = tmp.Close() // best-effort: the read error must propagate
 			return st, err
 		}
@@ -1203,60 +628,50 @@ func (s *Store) GC() (GCStats, error) {
 			_ = tmp.Close() // best-effort: the write error must propagate
 			return st, err
 		}
-		ref := k.ref
-		ref.seg, ref.off = nextSeq, off
-		newRefs[k.ik] = ref
-		off += k.ref.size
-		st.LiveRecords++
+		m.seg, m.off = nextSeq, off
+		off += m.size
 	}
 	if err := tmp.Sync(); err != nil {
 		_ = tmp.Close() // best-effort: the fsync error must propagate
 		return st, err
 	}
 	oldBytes := int64(0)
-	for _, seg := range s.segs {
+	for _, seg := range l.segs {
 		oldBytes += seg.size
 	}
-	if err := s.fs.Rename(tmpPath, s.segPath(nextSeq)); err != nil {
+	if err := l.fsys.Rename(tmpPath, l.segPath(nextSeq)); err != nil {
 		_ = tmp.Close() // best-effort: the rename error must propagate
 		return st, err
 	}
-	s.fs.SyncDir(s.dir)
+	l.fsys.SyncDir(l.dir)
 	// Point of no return: the compacted segment is durable. Retire the
 	// old files and swap the index over. Mappings of the deleted segments
 	// move to the graveyard instead of being unmapped: concurrent readers
 	// may still hold zero-copy slices into them, and an unlinked file's
 	// mapping stays valid until munmap at Close.
-	for seq, seg := range s.segs {
+	for seq, seg := range l.segs {
 		if seg.data != nil {
-			s.retired = append(s.retired, seg.data)
+			l.retired = append(l.retired, seg.data)
 			seg.data = nil
 		}
 		_ = seg.f.Close() // best-effort: the compacted segment is already durable
-		s.fs.Remove(s.segPath(seq))
-		delete(s.segs, seq)
+		l.fsys.Remove(l.segPath(seq))
+		delete(l.segs, seq)
 	}
-	s.fs.SyncDir(s.dir)
+	l.fsys.SyncDir(l.dir)
 	newSeg := &segment{seq: nextSeq, f: tmp, size: off}
-	s.segs[nextSeq] = newSeg
-	s.active = newSeg
-	s.index = newRefs
-	s.byGraph = make(map[service.Fingerprint]map[service.Fingerprint]struct{})
-	for ik, ref := range newRefs {
-		if ik.kind == kindShortcut {
-			deps := s.byGraph[ref.graphFP]
-			if deps == nil {
-				deps = make(map[service.Fingerprint]struct{})
-				s.byGraph[ref.graphFP] = deps
-			}
-			deps[ik.key] = struct{}{}
-		}
+	l.segs[nextSeq] = newSeg
+	l.active = newSeg
+	// Every shortcut survives compaction, so byGraph stays as it is.
+	s.index = make(map[indexKey]kvMeta, len(keeps))
+	for _, r := range keeps {
+		s.index[r.ik] = r.meta
 	}
+	st.LiveRecords = len(keeps)
 	st.LiveBytes = off
-	st.DroppedRecords = totalRecords - st.LiveRecords
+	st.DroppedRecords = total - len(keeps)
 	st.ReclaimedBytes = oldBytes - off
-	st.Segments = len(s.segs)
+	st.Segments = len(l.segs)
 	s.open.CorruptSkipped, s.open.TruncatedBytes, s.open.TombstonesApplied = 0, 0, 0
-	s.recount()
 	return st, nil
 }

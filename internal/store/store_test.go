@@ -151,6 +151,45 @@ func TestGraphRoundTripFamilies(t *testing.T) {
 	}
 }
 
+// TestBlobsPartitionSurvivesCanonicalDecode pins that a seeded blobs
+// partition parsed against a graph's canonical decode (what a restarted
+// daemon holds) is the one parsed against the original representative, so
+// store hits after a restart serve every family, torus wrap edges included.
+// It holds because the multi-source BFS gives each node to its nearest
+// seed, ties to the earlier seed, whatever the adjacency order.
+func TestBlobsPartitionSurvivesCanonicalDecode(t *testing.T) {
+	specs := []string{
+		"torus:16x16", "torus:9x13", "grid:12x12", "ktree:200,4",
+		"wheel:100", "random:200,900", "lb:6,24",
+	}
+	for _, spec := range specs {
+		for seed := int64(1); seed <= 40; seed++ {
+			g, _, err := cli.ParseGraph(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := service.FingerprintGraph(g)
+			dg, err := DecodeGraphPayload(EncodeGraphPayload(g), fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parts := range []string{"blobs:8", "blobs:32"} {
+				p, err := cli.ParsePartition(g, parts, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dp, err := cli.ParsePartition(dg, parts, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if service.FingerprintPartition(p) != service.FingerprintPartition(dp) {
+					t.Errorf("%s seed %d %s: partition differs on the canonical decode", spec, seed, parts)
+				}
+			}
+		}
+	}
+}
+
 // TestShortcutRoundTripFamilies builds, persists, reopens, and reloads
 // shortcuts across workload families, asserting the reconstruction is
 // canonically identical and measures identically.

@@ -1,18 +1,19 @@
 // Package storetest is the executable contract for store.Backend: a
-// reusable conformance suite every storage backend must pass. The segment
-// store runs through it as the reference implementation; the in-memory and
-// object-directory backends prove equivalence by passing the identical
-// suite; a future tiered or replicated backend starts by passing it too.
+// reusable conformance suite every storage backend must pass. The segment,
+// in-memory and object-directory backends share one record layer and pass
+// the identical suite, which proves each one's payload store; a future
+// tiered or replicated backend starts by passing it too.
 //
 // The suite covers the contract documented on store.Backend — round-trips
 // for every record kind across the graph families, idempotent re-puts,
 // tombstone deletes, no-resurrection, iteration/warm-start ordering,
 // payload verification (tampered bytes are detected, never served),
-// peer-surface semantics, -race concurrency schedules, GC under concurrent
-// readers — and, through the errfs fault injector, crash consistency:
-// failed fsyncs, torn writes, faults mid-GC, and a crash-at-every-Nth-op
-// sweep with reopen, asserting acknowledged records survive and the store
-// never serves a record that fails re-verification.
+// peer-surface semantics, -race concurrency schedules, reads and writes
+// after Close, GC under concurrent readers — and, through the errfs fault
+// injector, crash consistency: failed fsyncs, torn writes, faults mid-GC,
+// and a crash-at-every-Nth-op sweep with reopen, asserting acknowledged
+// records survive and the store never serves a record that fails
+// re-verification.
 package storetest
 
 import (
@@ -184,6 +185,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("GraphPayloadVerified", func(t *testing.T) { runGraphPayload(t, f) })
 	t.Run("PeerSurface", func(t *testing.T) { runPeerSurface(t, f) })
 	t.Run("Concurrency", func(t *testing.T) { runConcurrency(t, f) })
+	t.Run("ReadAfterClose", func(t *testing.T) { runReadAfterClose(t, f) })
 	if f.HasGC {
 		t.Run("GCUnderConcurrentReaders", func(t *testing.T) { runGCUnderReaders(t, f) })
 	}
@@ -521,6 +523,84 @@ func runPeerSurface(t *testing.T, f Factory) {
 	}
 }
 
+// runReadAfterClose checks a closed backend answers every read with a plain
+// miss, every listing and count with nothing, and every write with an
+// error, whatever it held before Close.
+func runReadAfterClose(t *testing.T, f Factory) {
+	b := f.New(t, t.TempDir())
+	fx := makeFixture(t, "grid:5x6", "blobs:3", 9)
+	fx.put(t, b)
+	if err := b.PutJob(5, jobPayload(t, 5, jobs.Queued)); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok, err := b.ShortcutRecord(fx.key)
+	if err != nil || !ok {
+		t.Fatalf("ShortcutRecord: ok=%v err=%v", ok, err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	miss := func(op string, ok bool, err error) {
+		t.Helper()
+		if ok || err != nil {
+			t.Errorf("%s after Close: ok=%v err=%v, want a plain miss", op, ok, err)
+		}
+	}
+	_, ok, err = b.GetGraph(fx.gfp)
+	miss("GetGraph", ok, err)
+	_, ok, err = b.GetPartition(fx.pfp, fx.g)
+	miss("GetPartition", ok, err)
+	_, _, ok, err = b.GetShortcut(fx.key, fx.g, fx.parts)
+	miss("GetShortcut", ok, err)
+	_, ok, err = b.ShortcutPayload(fx.key)
+	miss("ShortcutPayload", ok, err)
+	_, ok, err = b.GraphPayload(fx.gfp)
+	miss("GraphPayload", ok, err)
+	_, ok, err = b.ShortcutRecord(fx.key)
+	miss("ShortcutRecord", ok, err)
+	_, ok, err = b.GetJob(5)
+	miss("GetJob", ok, err)
+	miss("HasShortcut", b.HasShortcut(fx.key), nil)
+	miss("GraphKnown", b.GraphKnown(fx.gfp), nil)
+	visited := false
+	err = b.EachGraph(func(service.Fingerprint, *graph.Graph) error { visited = true; return nil })
+	miss("EachGraph", visited, err)
+	err = b.EachJob(func(uint64, []byte) error { visited = true; return nil })
+	miss("EachJob", visited, err)
+	if inv := b.ShortcutInventory(0, 0); len(inv) != 0 {
+		t.Errorf("ShortcutInventory after Close lists %d entries, want none", len(inv))
+	}
+	if fps := b.GraphFingerprints(); len(fps) != 0 {
+		t.Errorf("GraphFingerprints after Close lists %d graphs, want none", len(fps))
+	}
+	if recs := b.Records(); len(recs) != 0 {
+		t.Errorf("Records after Close lists %d records, want none", len(recs))
+	}
+	if problems := b.Verify(); len(problems) != 0 {
+		t.Errorf("Verify after Close: %v, want nothing", problems)
+	}
+	if st := b.OpenStats(); st != (store.OpenStats{}) {
+		t.Errorf("OpenStats after Close: %+v, want zero", st)
+	}
+
+	fresh := makeFixture(t, "cycle:9", "blobs:2", 9)
+	writes := map[string]error{
+		"PutGraph (known)":    b.PutGraph(fx.gfp, fx.g),
+		"PutGraph (new)":      b.PutGraph(fresh.gfp, fresh.g),
+		"PutGraphPayload":     b.PutGraphPayload(fresh.gfp, store.EncodeGraphPayload(fresh.g)),
+		"PutShortcut (known)": b.PutShortcut(fx.key, fx.gfp, fx.parts, fx.opts, fx.res, fx.bt),
+		"PutJob":              b.PutJob(6, jobPayload(t, 6, jobs.Queued)),
+		"DeleteGraph":         b.DeleteGraph(fx.gfp),
+	}
+	_, _, writes["ImportShortcut"] = b.ImportShortcut(rec)
+	for op, err := range writes {
+		if err == nil {
+			t.Errorf("%s after Close succeeded, want an error", op)
+		}
+	}
+}
+
 // runConcurrency drives writers, readers, and a deleter concurrently; the
 // -race matrix entry turns this into the suite's schedule check. The
 // backend must stay error-free and verify clean.
@@ -591,8 +671,17 @@ func runConcurrency(t *testing.T, f Factory) {
 	mustVerifyClean(t, b)
 }
 
+// heldPayload is a payload slice handed out before a GC and a snapshot of
+// its bytes.
+type heldPayload struct {
+	key      service.Fingerprint
+	slice    []byte
+	snapshot []byte
+}
+
 // runGCUnderReaders pins the graveyard contract: payload slices handed out
-// before a GC must stay byte-stable across it.
+// before a GC must stay byte-stable across it, and a reader racing GC sees
+// every live record as a hit.
 func runGCUnderReaders(t *testing.T, f Factory) {
 	b := f.New(t, t.TempDir())
 	defer b.Close()
@@ -606,23 +695,20 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 
 	// Hand out payload slices (zero-copy on the mmap'd segment store) and
 	// snapshot their contents before any GC.
-	type held struct {
-		key      service.Fingerprint
-		slice    []byte
-		snapshot []byte
-	}
-	var holds []held
+	var holds []heldPayload
 	for _, fx := range fxs {
 		payload, ok, err := b.ShortcutPayload(fx.key)
 		if err != nil || !ok {
 			t.Fatalf("ShortcutPayload: ok=%v err=%v", ok, err)
 		}
-		holds = append(holds, held{fx.key, payload, append([]byte(nil), payload...)})
+		holds = append(holds, heldPayload{fx.key, payload, append([]byte(nil), payload...)})
 	}
 
 	// Readers continuously re-read the held slices while the delete and
-	// GC run.
+	// GCs run, and read the surviving records, which stay live throughout:
+	// a read must hit, never fall through a locator GC just retired.
 	stop := make(chan struct{})
+	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
@@ -634,10 +720,9 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 					return
 				default:
 				}
-				for _, h := range holds {
-					if !bytes.Equal(h.slice, h.snapshot) {
-						panic("held payload slice mutated during GC")
-					}
+				if err := readSurvivors(b, holds, fxs[1:]); err != nil {
+					errs <- err
+					return
 				}
 			}
 		}()
@@ -650,12 +735,24 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 	if !ok {
 		t.Fatal("Factory.HasGC set but backend does not implement store.Compactor")
 	}
-	stats, err := gc.GC()
-	if err != nil {
-		t.Fatal(err)
+	var stats store.GCStats
+	job := jobPayload(t, 1, jobs.Queued)
+	for i := 0; i < 30; i++ {
+		// A superseded job record gives every GC something to reclaim.
+		if err := b.PutJob(1, job); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if stats, err = gc.GC(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 
 	if stats.LiveRecords == 0 {
 		t.Fatal("GC reports zero live records with live fixtures present")
@@ -672,6 +769,32 @@ func runGCUnderReaders(t *testing.T, f Factory) {
 		t.Fatal("GC resurrected a deleted shortcut")
 	}
 	mustVerifyClean(t, b)
+}
+
+// readSurvivors is one pass of runGCUnderReaders' readers: held payload
+// slices keep their bytes, and every surviving record is a hit through the
+// single-record reads, iteration and Verify.
+func readSurvivors(b store.Backend, holds []heldPayload, live []*fixture) error {
+	for _, h := range holds {
+		if !bytes.Equal(h.slice, h.snapshot) {
+			return fmt.Errorf("held payload slice for %s mutated during GC", h.key)
+		}
+	}
+	for _, fx := range live {
+		if _, ok, err := b.GetGraph(fx.gfp); err != nil || !ok {
+			return fmt.Errorf("GetGraph %s during GC: ok=%v err=%v", fx.gfp, ok, err)
+		}
+		if _, ok, err := b.ShortcutPayload(fx.key); err != nil || !ok {
+			return fmt.Errorf("ShortcutPayload %s during GC: ok=%v err=%v", fx.key, ok, err)
+		}
+	}
+	if err := b.EachGraph(func(service.Fingerprint, *graph.Graph) error { return nil }); err != nil {
+		return fmt.Errorf("EachGraph during GC: %v", err)
+	}
+	if problems := b.Verify(); len(problems) != 0 {
+		return fmt.Errorf("Verify during GC: %v", problems)
+	}
+	return nil
 }
 
 // runTamper flips stored payload bytes on disk and checks the backend

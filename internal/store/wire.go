@@ -17,34 +17,6 @@ import (
 // own decoders already verify, and "binary" can never drift from "JSON"
 // (the JSON peer API base64-wraps these same payloads).
 
-// ShortcutPayload returns the raw shortcut record payload for key — the
-// binary /v1/shortcuts response body. On a mapped segment the slice is
-// zero-copy (see readPayload); treat it as read-only.
-func (s *Store) ShortcutPayload(key service.Fingerprint) ([]byte, bool, error) {
-	return s.payloadOf(kindShortcut, key)
-}
-
-// PutGraphPayload persists an already-encoded canonical graph payload
-// verbatim under fp — the binary ingest path, which has the exact bytes in
-// hand and must not pay a decode→re-encode round trip. The payload is
-// verified against fp before anything is written (the store stays
-// self-verifying no matter who assembled the bytes); known content is a
-// cheap no-op. Implements service.GraphPayloadStore.
-func (s *Store) PutGraphPayload(fp service.Fingerprint, payload []byte) error {
-	if len(payload) < 1 || payload[0] != graphPayloadVersion {
-		return fmt.Errorf("store: graph %s: bad payload version", fp)
-	}
-	if got := service.FingerprintBytes(payload[1:]); got != fp {
-		return fmt.Errorf("store: graph %s: payload hashes to %s", fp, got)
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.has(kindGraph, fp) {
-		return nil
-	}
-	return s.appendRecord(kindGraph, fp, payload)
-}
-
 // EncodeShortcutRecordPayload renders the canonical shortcut record payload
 // for a built result, byte-identical to what PutShortcut persists. It is
 // the fallback for serving a binary shortcut response when the record is
